@@ -25,7 +25,6 @@ from repro.runtime import (
     ascii_gantt,
     execute_numeric,
     execute_numeric_distributed,
-    execute_numeric_parallel,
     simulate,
     to_chrome_trace,
 )
@@ -47,9 +46,9 @@ def main() -> None:
     print(f"DTD: {len(dtd.graph)} tasks — same census: "
           f"{ptg.graph.counts_by_kind() == dtd.graph.counts_by_kind()}")
 
-    # 2. three executors, one answer
+    # 2. one thread, four threads, four processes: one answer
     seq = execute_numeric(ptg.graph, mat).lower_dense()
-    par = execute_numeric_parallel(ptg.graph, mat, n_threads=4).lower_dense()
+    par = execute_numeric(ptg.graph, mat, n_threads=4).lower_dense()
     dist = execute_numeric_distributed(ptg.graph, mat, grid.size).lower_dense()
     print(f"\nsequential == threaded: {np.array_equal(seq, par)}")
     print(f"sequential == distributed (4 processes): {np.array_equal(seq, dist)}")

@@ -8,7 +8,6 @@ from .covariance import (
     get_model,
 )
 from .generator import Dataset, SyntheticField, build_tiled_covariance
-from .io import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_dataset_npz
 from .likelihood import LikelihoodEval, log_likelihood
 from .locations import cross_distances, generate_locations, morton_order, pairwise_distances
 from .mle import MLEResult, default_tile_size, fit_mle
@@ -51,8 +50,6 @@ __all__ = [
     "generate_locations",
     "get_model",
     "krige",
-    "load_dataset_csv",
-    "load_dataset_npz",
     "log_likelihood",
     "maximize_bounded",
     "morton_order",
@@ -61,7 +58,5 @@ __all__ = [
     "polynomial_design",
     "profile_log_likelihood",
     "run_monte_carlo",
-    "save_dataset_csv",
-    "save_dataset_npz",
     "theoretical_variogram",
 ]

@@ -153,9 +153,14 @@ class Matern(CovarianceModel):
         s = scaled[~zero]
         coeff = sigma2 * (2.0 ** (1.0 - nu)) / scipy.special.gamma(nu)
         vals = coeff * np.power(s, nu) * scipy.special.kv(nu, s)
-        # K_ν underflows to 0 for huge arguments; the limit is 0, which is
-        # exactly what the covariance should be there.
-        out[~zero] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+        # the product goes non-finite at both ends: near 0, s^ν underflows
+        # while K_ν overflows (the h→0⁺ limit is σ²); at huge s, s^ν can
+        # overflow against K_ν's underflow (the limit is 0).  Only those
+        # entries are patched; finite values pass through untouched.
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            vals[bad] = np.where(s[bad] < 1.0, sigma2, 0.0)
+        out[~zero] = vals
         return out
 
     @staticmethod

@@ -11,7 +11,7 @@ emulate the error growth of an fp16 accumulator by splitting the inner
 dimension into chunks: within a chunk the product is formed exactly (this
 matches tensor cores, which keep a wider intermediate inside the block
 FMA), and the running sum is re-rounded to fp16 after every chunk.  The
-chunk width (default 16) mirrors the effective block size after which
+chunk width (``_FP16_CHUNK`` = 32) mirrors the effective block size after which
 V100-era tensor cores round the accumulator.
 """
 

@@ -5,7 +5,6 @@ from .dsl import StreamOrderError, TaskClassSpec, TaskInstance, unroll, unroll_s
 from .dtd import AccessMode, DataAccess, DTDRuntime
 from .executor import execute_numeric
 from .gantt import ascii_gantt, engine_utilisation, to_chrome_trace
-from .parallel_executor import execute_numeric_parallel
 from .platform import Platform
 from .policies import (
     POLICY_NAMES,
@@ -53,7 +52,6 @@ __all__ = [
     "engine_utilisation",
     "execute_numeric",
     "execute_numeric_distributed",
-    "execute_numeric_parallel",
     "get_policy",
     "pick_mp_context",
     "policy_topological_order",

@@ -37,16 +37,18 @@ the scheduler sensitivity the paper's STC-vs-TTC results rest on (see
 consumes exactly the payloads its inputs name, so numerics are
 policy-invariant by construction.
 
-Two entry points share one engine:
+Three entry points share one engine and one ready/commit loop
+(``_drive``), differing only in where tasks and their order come from:
 
-* :func:`simulate` — the materialised path over a finalized
-  :class:`~repro.runtime.task.TaskGraph` (regression-pinned
-  bit-identical for panel-first);
-* :func:`simulate_stream` — million-task mode: consumes a lazy task
-  iterator (:func:`repro.runtime.dsl.unroll_stream`), keeps only a
-  bounded emission window of live :class:`Task` objects, and retires
-  each task after execution, so peak memory follows the window instead
-  of the DAG (see ``docs/SCHEDULING.md``).
+* :func:`simulate` — a finalized :class:`~repro.runtime.task.TaskGraph`
+  ordered by the policy heap (regression-pinned bit-identical for
+  panel-first);
+* :func:`simulate_stream` — million-task mode: a lazy task iterator
+  (:func:`repro.runtime.dsl.unroll_stream`) appended to a growing
+  frontier, each task retired after execution, so peak memory follows
+  the emission window instead of the DAG (see ``docs/SCHEDULING.md``);
+* :func:`simulate_replay` — a finalized graph executed in a recorded
+  commit order (a static schedule), validated as it runs.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _build_engine(
     evictions_metric,
     conversions_metric,
 ):
-    """The per-run machine model shared by both simulation entry points.
+    """The per-run machine model the schedule loop drives.
 
     Returns ``(seed_host, exec_task, sched_state)``:
 
@@ -505,7 +507,7 @@ def _build_engine(
 
 
 def _finish(
-    sched: SchedulePolicy,
+    policy_name: str,
     stats: RunStats,
     trace: Trace,
     busy: dict[str, float],
@@ -513,7 +515,7 @@ def _finish(
     task_start: list[float],
     registry,
     peak_live: int,
-    commit_order: list[int] | None = None,
+    commit_order: list[int],
 ) -> SimReport:
     """Publish run telemetry and assemble the :class:`SimReport`."""
     makespan = max(task_end, default=0.0)
@@ -547,7 +549,7 @@ def _finish(
             "n_evictions": stats.n_evictions,
             "n_host_evictions": stats.n_host_evictions,
             "n_spills": stats.n_spills,
-            "policy": sched.name,
+            "policy": policy_name,
         },
     )
     run_finished(stats.n_tasks)
@@ -557,9 +559,191 @@ def _finish(
         trace=trace,
         task_end=task_end,
         task_start=task_start,
-        policy=sched.name,
+        policy=policy_name,
         peak_live_tasks=peak_live,
-        commit_order=commit_order if commit_order is not None else [],
+        commit_order=commit_order,
+    )
+
+
+def _drive(
+    graph: TaskGraph,
+    platform: Platform,
+    nb: int,
+    *,
+    enforce_memory: bool,
+    record_events: bool,
+    policy_name: str,
+    sched: SchedulePolicy | None = None,
+    order: Iterable[int] | None = None,
+    stream: Iterable[Task] | None = None,
+    lookahead: int = 0,
+) -> SimReport:
+    """The one ready/commit loop behind every entry point.
+
+    Task source: ``graph`` already holds every task, or — with
+    ``stream`` — it starts empty and tasks are appended as they are
+    pulled (refilled to ``lookahead`` live tasks, widened while nothing
+    is ready) and retired once executed.  Order source: the ``sched``
+    policy's ready heap, or — with ``order`` — a recorded commit order
+    validated as it runs.
+
+    Heap entries are ``(*sched.key(task, ready, state), tid)``: the
+    policy owns the first two fields (panel-first keeps the historical
+    ``(ready, priority)`` pair bit-identically) and the task id pins the
+    order of equal keys, so every policy is deterministic.  Only tasks
+    whose predecessors have all executed are ready, so any pop order is
+    a valid schedule; the ready time still gates the task's start via
+    its input arrival times.
+    """
+    registry = get_registry()
+    busy = dict.fromkeys(("compute", "h2d", "d2h", "nic", "disk_read", "disk_write"), 0.0)
+    trace = Trace()
+    stats = trace.stats
+    record = trace.record if record_events else (lambda ev: None)
+    seed_host, exec_task, sched_state = _build_engine(
+        platform, nb, enforce_memory, record, stats, busy,
+        registry.counter("sim.evictions", "LRU evictions (all causes)"),
+        registry.counter("sim.conversions", "datatype conversion passes"),
+    )
+
+    # live views: append() grows these lists in place, retire() clears
+    # entries in place, so the loop indexes them directly
+    preds, succs = graph.adjacency()
+    tasks = graph.tasks
+    executed: list[bool] = []
+    in_count: list[int] = []
+    task_ready: list[float] = []
+    task_start: list[float] = []
+    task_end: list[float] = []
+    heap: list[tuple[float, float, int]] = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    key_of = sched.key if order is None else None
+    live = peak_live = done = 0
+
+    def admit(tid: int) -> None:
+        """Open bookkeeping for a task whose host inputs are seeded."""
+        nonlocal live, peak_live
+        pending = 0
+        ready_t = 0.0
+        for p in preds[tid]:
+            if executed[p]:
+                t = task_end[p]
+                if t > ready_t:
+                    ready_t = t
+            else:
+                pending += 1
+        executed.append(False)
+        in_count.append(pending)
+        task_ready.append(ready_t)
+        task_start.append(0.0)
+        task_end.append(0.0)
+        if pending == 0 and key_of is not None:
+            heappush(heap, (*key_of(tasks[tid], ready_t, sched_state), tid))
+        live += 1
+        if live > peak_live:
+            peak_live = live
+
+    if stream is None:
+        # version-0 tiles go to their owner's host before any key is taken
+        for task in graph:
+            seed_host(task)
+        for tid in range(len(graph)):
+            admit(tid)
+    it = iter(() if stream is None else stream)
+    exhausted = stream is None
+
+    def pull() -> bool:
+        """Append the next streamed task to the frontier; False once dry."""
+        nonlocal exhausted
+        task = next(it, None)
+        if task is None:
+            exhausted = True
+            return False
+        graph.append(task)
+        seed_host(task)
+        admit(task.tid)
+        return True
+
+    if order is None:
+
+        def next_tid() -> int | None:
+            # frontier blocked inside the window: widen until a task is
+            # ready (or the stream runs dry)
+            while not heap and pull():
+                pass
+            return heappop(heap)[-1] if heap else None
+
+    else:
+        order_it = iter(order)
+        n = len(graph)
+
+        def next_tid() -> int | None:
+            tid = next(order_it, None)
+            if tid is None:
+                return None
+            tid = int(tid)
+            if not 0 <= tid < n or executed[tid]:
+                raise ValueError(
+                    f"replay order invalid at position {done}: task {tid} "
+                    f"{'already executed' if 0 <= tid < n else 'out of range'}"
+                )
+            if in_count[tid]:
+                p = next(p for p in preds[tid] if not executed[p])
+                raise ValueError(
+                    f"replay order violates precedence: task {tid} scheduled "
+                    f"before its predecessor {p}"
+                )
+            return tid
+
+    retire = stream is not None
+    commit_order: list[int] = []
+    commit = commit_order.append
+    # a stream's total is unknown here; simulate_cholesky pre-announces
+    # cholesky_task_count(nt) via announce_total before calling in
+    if retire:
+        beat = run_started(None, "sim.stream")
+    else:
+        beat = run_started(len(graph), "sim.materialized" if order is None else "sim.replay")
+    with hot_region("sim.ready_heap_loop"):
+        while True:
+            while live < lookahead and not exhausted:
+                pull()
+            tid = next_tid()
+            if tid is None:
+                break
+            commit(tid)
+            start, end = exec_task(tasks[tid], task_ready[tid])
+            task_start[tid] = start
+            task_end[tid] = end
+            executed[tid] = True
+            for succ in succs[tid]:
+                left = in_count[succ] - 1
+                in_count[succ] = left
+                if left == 0:
+                    succ_ready = 0.0
+                    for p in preds[succ]:
+                        t = task_end[p]
+                        if t > succ_ready:
+                            succ_ready = t
+                    task_ready[succ] = succ_ready
+                    if key_of is not None:
+                        heappush(heap, (*key_of(tasks[succ], succ_ready, sched_state), succ))
+            if retire:
+                graph.retire(tid)
+            live -= 1
+            done += 1
+            if beat is not None and not done % BEAT_STRIDE:
+                beat(done, live)
+
+    if done != len(graph):
+        if order is not None:
+            raise ValueError(f"replay order incomplete: {done}/{len(graph)} tasks executed")
+        raise RuntimeError(f"simulation deadlock: {done}/{len(graph)} tasks executed")
+
+    return _finish(
+        policy_name, stats, trace, busy, task_end, task_start, registry,
+        peak_live=peak_live, commit_order=commit_order,
     )
 
 
@@ -573,16 +757,13 @@ def simulate(
     record_events: bool = True,
     policy: str | SchedulePolicy | None = None,
 ) -> SimReport:
-    """Simulate ``graph`` on ``platform`` and return timing + counters.
+    """Simulate the finalized ``graph`` on ``platform``: timing + counters.
 
     ``nb`` is the tile edge used to price kernels and conversions (ragged
     edge tiles are priced as full tiles — a ≤1/NT relative error).
-
-    ``policy`` picks the :class:`~repro.runtime.policies.SchedulePolicy`
-    that orders the ready heap (name or instance; default
-    ``panel-first``, bit-identical to the historical scheduler).
-    Policies reorder ready tasks only, so they change timing and data
-    motion but never which payloads a task consumes.
+    ``policy`` orders the ready heap (name or instance; default
+    ``panel-first``, bit-identical to the historical scheduler); it
+    changes timing and data motion, never which payloads a task reads.
 
     Telemetry: runs inside a ``sim.run`` span; eviction/conversion
     counters tick live and per-engine busy time, byte totals, and the
@@ -590,81 +771,9 @@ def simulate(
     """
     sched = resolve_policy(policy)
     sched.prepare(graph, platform, nb)
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    # seed version-0 tiles at their owner's host memory
-    for task in graph:
-        seed_host(task)
-
-    # -- policy-driven list scheduling ------------------------------------
-    # Heap comparator is the explicit triple (*policy.key, tid): the
-    # policy owns the first two fields (panel-first keeps the historical
-    # (ready, priority) pair bit-identically), task id pins the order of
-    # equal-key tasks so every policy is fully deterministic.  Only
-    # tasks whose predecessors are all scheduled enter the heap, so any
-    # pop order is a valid schedule; the recorded ready time still gates
-    # the task's start via its input arrival times.
-    n = len(graph)
-    preds, succs = graph.adjacency()
-    tasks = graph.tasks
-    in_count = [len(preds[t]) for t in range(n)]
-    task_end = [0.0] * n
-    task_start = [0.0] * n
-    task_ready = [0.0] * n
-    key_of = sched.key
-    commit_order: list[int] = []
-    commit = commit_order.append
-    heap: list[tuple[float, float, int]] = []
-    for tid in range(n):
-        if in_count[tid] == 0:
-            heapq.heappush(heap, (*key_of(tasks[tid], 0.0, sched_state), tid))
-
-    done = 0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    beat = run_started(n, "sim.materialized")  # None unless a live plane is up
-    with hot_region("sim.ready_heap_loop"):
-        while heap:
-            tid = heappop(heap)[-1]
-            commit(tid)
-            start, end = exec_task(tasks[tid], task_ready[tid])
-            task_start[tid] = start
-            task_end[tid] = end
-
-            for succ in succs[tid]:
-                left = in_count[succ] - 1
-                in_count[succ] = left
-                if left == 0:
-                    succ_ready = 0.0
-                    for p in preds[succ]:
-                        t = task_end[p]
-                        if t > succ_ready:
-                            succ_ready = t
-                    task_ready[succ] = succ_ready
-                    heappush(heap, (*key_of(tasks[succ], succ_ready, sched_state), succ))
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, len(heap))
-
-    if done != n:
-        raise RuntimeError(f"simulation deadlock: {done}/{n} tasks executed")
-
-    return _finish(
-        sched, stats, trace, busy, task_end, task_start, registry,
-        peak_live=n, commit_order=commit_order,
+    return _drive(
+        graph, platform, nb, enforce_memory=enforce_memory, record_events=record_events,
+        policy_name=sched.name, sched=sched,
     )
 
 
@@ -681,39 +790,20 @@ def simulate_stream(
 ) -> SimReport:
     """Simulate a lazily-emitted task stream without materialising the DAG.
 
-    ``source`` yields :class:`Task` objects in a dependency-safe
-    (topological) emission order with dense tids — what
-    :func:`repro.runtime.dsl.unroll_stream` produces.  Tasks are pulled
-    into a :class:`TaskGraph` frontier until ``lookahead`` of them are
-    live (emitted but unexecuted), scheduled exactly like
-    :func:`simulate`, and retired as soon as they execute, so peak
-    memory tracks the window rather than the task count.  When the heap
-    drains while the window is still blocked, emission widens past
-    ``lookahead`` until a ready task appears (the window is a soft
-    target, never a correctness constraint).
+    ``source`` yields :class:`Task` objects in topological emission
+    order with dense tids (:func:`repro.runtime.dsl.unroll_stream`).
+    Up to ``lookahead`` tasks are live at once (widened while nothing
+    is ready — a soft target, never a correctness constraint); each is
+    retired after it executes, so peak memory tracks the window, not the
+    task count.  The schedule matches :func:`simulate` exactly when each
+    task is emitted before it becomes ready, which for the k-major
+    Cholesky emission holds once ``lookahead`` spans ≈ ``nt²`` tasks
+    (:func:`repro.core.solver.simulate_cholesky` picks this).
 
-    Every pop order is a valid schedule; it matches the materialised
-    path exactly when each task is emitted before it becomes ready,
-    which for the k-major Cholesky emission holds once ``lookahead``
-    spans about two trailing-update sweeps (≈ ``nt²`` tasks —
-    :func:`repro.core.solver.simulate_cholesky` picks this
-    automatically).  Smaller windows stay correct but may schedule
-    slightly differently.
-
-    Policies that precompute over the whole graph
-    (``requires_full_graph``: critical-path, comm-aware-eft) are
-    rejected — they would need the very materialisation this path
-    avoids.
-
-    .. caveat:: the O(window) live-memory bound covers *Task* objects
-       only.  With ``record_events=True`` (the default) the recording
-       :class:`Trace` accumulates O(n_tasks) events — several per task —
-       which silently dominates memory at NT ≳ 192 (~1.2M tasks).  Pass
-       ``record_events=False`` for million-task runs; ``repro simbench
-       --mode stream`` warns when event recording is left on.  (The
-       per-task ``task_end``/``task_start``/``commit_order`` arrays are
-       O(n_tasks) too, but at a few machine words per task they are two
-       orders of magnitude lighter than recorded events.)
+    Policies with ``requires_full_graph`` (critical-path,
+    comm-aware-eft) are rejected.  With ``record_events=True`` the
+    :class:`Trace` still grows O(n_tasks) — pass ``False`` for
+    million-task runs.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be positive")
@@ -725,120 +815,11 @@ def simulate_stream(
             "policy (panel-first, fifo)"
         )
     graph = TaskGraph()
+    graph.finalize()  # sealed while empty: append() wires edges as tasks arrive
     sched.prepare(graph, platform, nb)
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    it = iter(source)
-    executed: list[bool] = []
-    in_count: list[int] = []
-    task_end: list[float] = []
-    task_start: list[float] = []
-    task_ready: list[float] = []
-    heap: list[tuple[float, float, int]] = []
-    key_of = sched.key
-    commit_order: list[int] = []
-    commit = commit_order.append
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-
-    live = 0
-    peak_live = 0
-    exhausted = False
-
-    def pull_one() -> bool:
-        """Emit the next task into the frontier; False once exhausted."""
-        nonlocal live, peak_live, exhausted
-        try:
-            task = next(it)
-        except StopIteration:
-            exhausted = True
-            return False
-        tid = graph.append(task)
-        seed_host(task)
-        task_end.append(0.0)
-        task_start.append(0.0)
-        task_ready.append(0.0)
-        executed.append(False)
-        pending = 0
-        ready_t = 0.0
-        for p in graph.predecessors(tid):
-            if executed[p]:
-                t = task_end[p]
-                if t > ready_t:
-                    ready_t = t
-            else:
-                pending += 1
-        in_count.append(pending)
-        if pending == 0:
-            task_ready[tid] = ready_t
-            heappush(heap, (*key_of(task, ready_t, sched_state), tid))
-        live += 1
-        if live > peak_live:
-            peak_live = live
-        return True
-
-    done = 0
-    # total is unknown for a lazy stream; simulate_cholesky pre-announces
-    # cholesky_task_count(nt) via announce_total before calling us
-    beat = run_started(None, "sim.stream")
-    with hot_region("sim.ready_heap_loop"):
-        while True:
-            while live < lookahead and not exhausted:
-                pull_one()
-            if not heap:
-                if exhausted:
-                    break
-                # frontier blocked inside the window: widen until a task
-                # becomes ready (or the stream runs dry)
-                while not heap and pull_one():
-                    pass
-                if not heap:
-                    break
-            tid = heappop(heap)[-1]
-            commit(tid)
-            start, end = exec_task(graph.tasks[tid], task_ready[tid])
-            task_start[tid] = start
-            task_end[tid] = end
-            executed[tid] = True
-            for succ in graph.successors(tid):
-                left = in_count[succ] - 1
-                in_count[succ] = left
-                if left == 0:
-                    succ_ready = 0.0
-                    for p in graph.predecessors(succ):
-                        t = task_end[p]
-                        if t > succ_ready:
-                            succ_ready = t
-                    task_ready[succ] = succ_ready
-                    heappush(heap, (*key_of(graph.tasks[succ], succ_ready, sched_state), succ))
-            graph.retire(tid)
-            live -= 1
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, live)
-
-    if live != 0:
-        raise RuntimeError(
-            f"streaming simulation deadlock: {done} tasks executed, {live} live "
-            "(emission order is not topological?)"
-        )
-
-    return _finish(
-        sched, stats, trace, busy, task_end, task_start, registry,
-        peak_live=peak_live, commit_order=commit_order,
+    return _drive(
+        graph, platform, nb, enforce_memory=enforce_memory, record_events=record_events,
+        policy_name=sched.name, sched=sched, stream=source, lookahead=lookahead,
     )
 
 
@@ -855,80 +836,15 @@ def simulate_replay(
 ) -> SimReport:
     """Execute a previously committed task order — no heap, no policy keys.
 
-    ``order`` is the ``commit_order`` of an earlier :func:`simulate` /
-    :func:`simulate_stream` run over the *same* graph and platform
-    (usually via :class:`repro.runtime.schedule.StaticSchedule`).  The
-    engine state (caches, link timelines, conversions) evolves purely
-    from the execution sequence, so replaying the committed order
-    reproduces the original run bit-identically — same makespan, same
-    stats, same trace content hash — while skipping every ready-heap
-    push/pop and policy-key evaluation.
-
-    The order is validated as it executes: every task id must appear
-    exactly once and only after all its predecessors, else
-    ``ValueError`` — a schedule exported from a different graph shape
-    fails fast instead of producing a silently wrong account.
+    ``order`` is the ``commit_order`` of an earlier run over the *same*
+    graph and platform (usually via
+    :class:`repro.runtime.schedule.StaticSchedule`).  Engine state
+    evolves purely from the execution sequence, so the replay is
+    bit-identical to the original run: makespan, stats, trace hash.
+    Every task id must appear exactly once and after all its
+    predecessors, else ``ValueError``.
     """
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, _sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    for task in graph:
-        seed_host(task)
-
-    n = len(graph)
-    preds, _succs = graph.adjacency()
-    tasks = graph.tasks
-    executed = [False] * n
-    task_end = [0.0] * n
-    task_start = [0.0] * n
-    commit_order: list[int] = []
-    done = 0
-    beat = run_started(n, "sim.replay")
-    with hot_region("sim.replay_loop"):
-        for tid in order:
-            tid = int(tid)
-            if not 0 <= tid < n or executed[tid]:
-                raise ValueError(
-                    f"replay order invalid at position {done}: task {tid} "
-                    f"{'already executed' if 0 <= tid < n else 'out of range'}"
-                )
-            ready_t = 0.0
-            for p in preds[tid]:
-                if not executed[p]:
-                    raise ValueError(
-                        f"replay order violates precedence: task {tid} scheduled "
-                        f"before its predecessor {p}"
-                    )
-                t = task_end[p]
-                if t > ready_t:
-                    ready_t = t
-            commit_order.append(tid)
-            start, end = exec_task(tasks[tid], ready_t)
-            task_start[tid] = start
-            task_end[tid] = end
-            executed[tid] = True
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, 0)
-    if done != n:
-        raise ValueError(f"replay order incomplete: {done}/{n} tasks executed")
-
-    class _ReplayTag:
-        name = f"replay:{source_policy}"
-
-    return _finish(
-        _ReplayTag(), stats, trace, busy, task_end, task_start, registry,
-        peak_live=n, commit_order=commit_order,
+    return _drive(
+        graph, platform, nb, enforce_memory=enforce_memory, record_events=record_events,
+        policy_name=f"replay:{source_policy}", order=order,
     )

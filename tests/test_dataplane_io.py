@@ -1,18 +1,24 @@
-"""Dataplane format round-trips, geostats IO edge cases, reorder consistency."""
+"""Dataplane format round-trips, dataset IO edge cases, reorder consistency."""
 
 import numpy as np
 import pytest
 
 from repro.geostats import Dataset, build_tiled_covariance, dataplane as dp
 from repro.geostats.covariance import Matern, get_model
-from repro.geostats.io import (
-    load_dataset_csv,
-    load_dataset_npz,
-    save_dataset_csv,
-    save_dataset_npz,
-)
 from repro.geostats.locations import generate_locations
 from repro.obs import get_registry
+
+
+def _write_csv(path, coords, values):
+    """``x,y,value`` rows with a header, digits enough to round-trip."""
+    np.savetxt(path, np.column_stack([coords, values]), delimiter=",",
+               header="x,y,value", comments="", fmt="%.17g")
+    return path
+
+
+def _dataset_npz_roundtrip(ds, path):
+    written = dp.write_pointset(path, dp.pointset_from_dataset(ds), format="npz")
+    return dp.dataset_from_pointset(dp.read_pointset(written), "2d-matern")
 
 
 def _pointset(n=200, dim=2, seed=0, dtype=np.float64):
@@ -116,15 +122,13 @@ def test_read_counter_advances(tmp_path):
 
 def test_csv_pointset_roundtrip(tmp_path):
     ps = _pointset(n=40)
-    ds = dp.dataset_from_pointset(ps, "2d-matern")
-    csv_path = str(tmp_path / "pts.csv")
-    save_dataset_csv(ds, csv_path)
+    csv_path = _write_csv(str(tmp_path / "pts.csv"), ps.coords, ps.values)
     back = dp.read_pointset_csv(csv_path)
     assert back.n == 40 and back.dim == 2
     assert np.array_equal(back.coords, ps.coords)
 
 
-# -- geostats/io.py edge cases (satellite) --------------------------------
+# -- dataset IO edge cases ------------------------------------------------
 
 
 def test_dataset_rejects_nan_locations():
@@ -144,17 +148,15 @@ def test_dataset_rejects_inf_measurements():
 
 def test_empty_dataset_npz_roundtrip(tmp_path):
     ds = Dataset(locations=np.zeros((0, 2)), z=np.zeros(0), model=Matern(dim=2))
-    path = save_dataset_npz(ds, str(tmp_path / "empty"))
-    back = load_dataset_npz(path)
+    back = _dataset_npz_roundtrip(ds, str(tmp_path / "empty"))
     assert back.n == 0 and back.model.name == ds.model.name
 
 
 def test_single_point_dataset_csv_roundtrip(tmp_path):
     ds = Dataset(locations=np.array([[0.5, 0.5]]), z=np.array([2.0]),
                  model=Matern(dim=2))
-    path = str(tmp_path / "one.csv")
-    save_dataset_csv(ds, path)
-    back = load_dataset_csv(path, "2d-matern")
+    path = _write_csv(str(tmp_path / "one.csv"), ds.locations, ds.z)
+    back = dp.dataset_from_pointset(dp.read_pointset_csv(path), "2d-matern")
     assert back.n == 1
     assert np.array_equal(back.locations, ds.locations)
     assert np.array_equal(back.z, ds.z)
@@ -164,7 +166,7 @@ def test_empty_csv_raises_clear_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x,y,value\n")
     with pytest.raises(ValueError, match="no data rows"):
-        load_dataset_csv(str(path), "2d-matern")
+        dp.read_pointset_csv(str(path))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -174,8 +176,7 @@ def test_dataset_npz_roundtrip_preserves_dtype(tmp_path, dtype):
     z = rng.standard_normal(12).astype(dtype)
     ds = Dataset(locations=locs, z=z, model=Matern(dim=2))
     assert ds.locations.dtype == dtype  # construction preserves it
-    path = save_dataset_npz(ds, str(tmp_path / "ds"))
-    back = load_dataset_npz(path)
+    back = _dataset_npz_roundtrip(ds, str(tmp_path / "ds"))
     assert back.locations.dtype == dtype and back.z.dtype == dtype
     assert back.locations.tobytes() == locs.tobytes()
     assert back.z.tobytes() == z.tobytes()

@@ -135,3 +135,24 @@ def test_property_matern_bounded_by_variance(sigma2, beta, nu, hs):
     out = model.correlation(np.array(hs), np.array([sigma2, beta, nu]))
     assert np.all(out >= 0.0)
     assert np.all(out <= sigma2 * (1.0 + 1e-9))
+
+
+#: distances small enough that s^ν underflows against an overflowing K_ν
+_TINY_H = np.array([1e-320, 1e-300, 1e-250, 1e-200, 1e-150, 1e-100])
+
+
+@given(
+    st.floats(0.05, 2.0), st.floats(0.02, 2.0), st.floats(0.01, 3.0),
+    st.lists(st.floats(0.0, 3.0) | st.floats(1e-320, 1e-3), min_size=1, max_size=10),
+)
+@settings(max_examples=50, deadline=None)
+def test_property_matern_continuous_at_zero_and_nonincreasing(sigma2, beta, nu, hs):
+    """C(h) → σ² as h → 0⁺ (also where the formula's factors under- and
+    overflow), and C never increases with h.  The smallest h bounds the
+    σ² − C deficit (≈ (h/2β)^{2ν} for ν < 1) below 1e-6 even at ν = 0.01."""
+    model = Matern(dim=2)
+    theta = np.array([sigma2, beta, nu])
+    assert np.isclose(model.correlation(_TINY_H[:1], theta)[0], sigma2, rtol=1e-5, atol=0.0)
+    h = np.sort(np.concatenate([_TINY_H, hs]))
+    out = model.correlation(h, theta)
+    assert np.all(np.diff(out) <= 1e-9 * sigma2)

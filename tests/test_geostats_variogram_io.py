@@ -8,13 +8,16 @@ from repro.geostats import (
     SyntheticField,
     empirical_variogram,
     fit_variogram,
-    load_dataset_csv,
-    load_dataset_npz,
-    save_dataset_csv,
-    save_dataset_npz,
     theoretical_variogram,
 )
 from repro.geostats.covariance import Matern, SquaredExponential
+from repro.geostats.dataplane import (
+    dataset_from_pointset,
+    pointset_from_dataset,
+    read_pointset,
+    read_pointset_csv,
+    write_pointset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,48 +89,57 @@ class TestFitVariogram:
         assert rel < 0.5
 
 
+def _write_csv(ds, path):
+    """``x,y[,z],value`` rows with a header, digits enough to round-trip."""
+    header = ",".join(["x", "y", "z"][: ds.locations.shape[1]] + ["value"])
+    np.savetxt(path, np.column_stack([ds.locations, ds.z]), delimiter=",",
+               header=header, comments="", fmt="%.17g")
+    return path
+
+
+def _npz_roundtrip(ds, path, model_name):
+    written = write_pointset(path, pointset_from_dataset(ds), format="npz")
+    return dataset_from_pointset(read_pointset(written), model_name)
+
+
 class TestIO:
     def test_csv_roundtrip(self, matern_ds, tmp_path):
-        path = str(tmp_path / "d.csv")
-        save_dataset_csv(matern_ds, path)
-        back = load_dataset_csv(path, "2d-matern")
+        path = _write_csv(matern_ds, str(tmp_path / "d.csv"))
+        back = dataset_from_pointset(read_pointset_csv(path), "2d-matern")
         assert np.allclose(back.locations, matern_ds.locations)
         assert np.allclose(back.z, matern_ds.z)
         assert back.model.name == "2D-Matern"
 
     def test_csv_3d(self, tmp_path):
         ds = SyntheticField.sqexp_3d(64, nugget=0.01, seed=2).sample()
-        path = str(tmp_path / "d3.csv")
-        save_dataset_csv(ds, path)
-        back = load_dataset_csv(path, "3d-sqexp", nugget=0.01)
+        path = _write_csv(ds, str(tmp_path / "d3.csv"))
+        back = dataset_from_pointset(read_pointset_csv(path), "3d-sqexp", nugget=0.01)
         assert back.locations.shape == (64, 3)
         assert back.nugget == 0.01
 
     def test_csv_dim_mismatch(self, matern_ds, tmp_path):
-        path = str(tmp_path / "d.csv")
-        save_dataset_csv(matern_ds, path)
-        with pytest.raises(ValueError, match="columns"):
-            load_dataset_csv(path, "3d-sqexp")
+        path = _write_csv(matern_ds, str(tmp_path / "d.csv"))
+        with pytest.raises(ValueError, match="3D but locations are 2D"):
+            dataset_from_pointset(read_pointset_csv(path), "3d-sqexp")
 
     def test_csv_empty(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").write("x,y,value\n")
         with pytest.raises(ValueError, match="no data"):
-            load_dataset_csv(path, "2d-matern")
+            read_pointset_csv(path)
 
     def test_npz_roundtrip(self, matern_ds, tmp_path):
-        path = str(tmp_path / "d.npz")
-        save_dataset_npz(matern_ds, path)
-        back = load_dataset_npz(path)
+        back = _npz_roundtrip(matern_ds, str(tmp_path / "d.npz"), "2d-matern")
         assert np.array_equal(back.locations, matern_ds.locations)
         assert np.array_equal(back.z, matern_ds.z)
         assert back.theta_true == matern_ds.theta_true
         assert back.nugget == matern_ds.nugget
         assert back.model.name == matern_ds.model.name
+        ds3 = SyntheticField.sqexp_3d(64, nugget=0.01, seed=2).sample()
+        back3 = _npz_roundtrip(ds3, str(tmp_path / "d3.npz"), "3d-sqexp")
+        assert back3.theta_true == ds3.theta_true and back3.nugget == 0.01
 
     def test_npz_without_theta(self, tmp_path):
         ds = Dataset(np.random.default_rng(0).random((10, 2)), np.zeros(10),
                      Matern(dim=2))
-        path = str(tmp_path / "x.npz")
-        save_dataset_npz(ds, path)
-        assert load_dataset_npz(path).theta_true is None
+        assert _npz_roundtrip(ds, str(tmp_path / "x.npz"), "2d-matern").theta_true is None

@@ -51,21 +51,21 @@ class TestExecutorSpans:
         assert tasks, "expected per-task spans"
         kinds = {e["attrs"]["kind"] for e in tasks}
         assert {"POTRF", "TRSM", "SYRK", "GEMM"} <= kinds
-        assert all(e["span"].startswith("executor.sequential/") for e in tasks)
+        assert all(e["span"].startswith("executor.numeric/") for e in tasks)
 
     def test_parallel_executor_emits_task_spans(self, tmp_path, tiled_96):
         from repro.core import MPCholeskySolver, MPConfig
-        from repro.runtime.parallel_executor import execute_numeric_parallel
+        from repro.runtime import execute_numeric
 
         solver = MPCholeskySolver(MPConfig(accuracy=1e-6, tile_size=16))
         plan = solver.plan(tiled_96)
         dag = solver._dag(tiled_96.n, tiled_96.nb, plan, None)
         with obs.event_log(tmp_path / "run.jsonl"):
-            execute_numeric_parallel(dag.graph, tiled_96, n_threads=2)
+            execute_numeric(dag.graph, tiled_96, n_threads=2)
         events = obs.read_events(tmp_path / "run.jsonl")
         task_spans = [e for e in events if e["type"] == "span" and e["span"] == "task"]
         outer = [e for e in events if e["type"] == "span"
-                 and e["span"] == "executor.parallel"]
+                 and e["span"] == "executor.numeric"]
         assert task_spans and outer
         assert task_spans[0]["attrs"]["duration_seconds"] >= 0.0
 

@@ -1,6 +1,8 @@
 """Tests for trace export (Gantt/Chrome) and the threaded executor."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from repro.perfmodel import V100
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric
 from repro.runtime.gantt import ascii_gantt, engine_utilisation, to_chrome_trace
-from repro.runtime.parallel_executor import execute_numeric_parallel
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
@@ -67,15 +68,33 @@ class TestParallelExecutor:
         kmap = build_precision_map(tile_norms(mat), 1e-4)
         dag = build_cholesky_dag(96, 16, kmap)
         seq = execute_numeric(dag.graph, mat)
-        par = execute_numeric_parallel(dag.graph, mat, n_threads=threads)
+        par = execute_numeric(dag.graph, mat, n_threads=threads)
         assert np.array_equal(par.lower_dense(), seq.lower_dense())
+
+    def test_stress_more_threads_than_cores(self, rng):
+        """Eight workers with thread switches every microsecond: a lost
+        ready-heap or dependency-count update would stall the run or
+        change the bits, so it must finish (bounded) and match."""
+        mat = self._mat(rng)
+        dag = build_cholesky_dag(96, 16, build_precision_map(tile_norms(mat), 1e-4))
+        ref = execute_numeric(dag.graph, mat)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            fut = pool.submit(execute_numeric, dag.graph, mat, n_threads=8)
+            out = fut.result(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+            pool.shutdown(wait=False)
+        assert np.array_equal(out.lower_dense(), ref.lower_dense())
 
     def test_fp64_correct(self, rng):
         mat = self._mat(rng)
         from repro.core import uniform_map
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        out = execute_numeric_parallel(dag.graph, mat, n_threads=3)
+        out = execute_numeric(dag.graph, mat, n_threads=3)
         l = out.lower_dense()
         assert np.allclose(l @ l.T, mat.to_dense())
 
@@ -86,7 +105,7 @@ class TestParallelExecutor:
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         dag.graph.tasks[3].kind = "BROKEN"
         with pytest.raises(ValueError, match="unknown task kind"):
-            execute_numeric_parallel(dag.graph, mat, n_threads=2)
+            execute_numeric(dag.graph, mat, n_threads=2)
 
     def test_invalid_threads(self, rng):
         mat = self._mat(rng)
@@ -94,7 +113,7 @@ class TestParallelExecutor:
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         with pytest.raises(ValueError):
-            execute_numeric_parallel(dag.graph, mat, n_threads=0)
+            execute_numeric(dag.graph, mat, n_threads=0)
 
     def test_input_unmodified(self, rng):
         mat = self._mat(rng)
@@ -102,5 +121,5 @@ class TestParallelExecutor:
         from repro.core import uniform_map
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        execute_numeric_parallel(dag.graph, mat, n_threads=4)
+        execute_numeric(dag.graph, mat, n_threads=4)
         assert np.array_equal(mat.to_dense(), before)

@@ -1,11 +1,11 @@
-"""Regression: parallel executor write-back on partially-covered graphs.
+"""Regression: numeric executor write-back on partially-covered graphs.
 
-``execute_numeric_parallel``'s final write-back loop walks the ``values``
-dict, which holds quantized version-0 seeds for every tile a task merely
-*reads*; those seeds are written back into the output matrix.  On a
-graph where some matrix tiles are touched by no task (and some only as
-read-only inputs) this must not diverge from the sequential executor's
-handling — same tiles written, same quantisation, bit-identical result.
+``execute_numeric``'s final write-back walks the ``values`` dict, which
+holds quantized version-0 seeds for every tile a task merely *reads*;
+those seeds are written back into the output matrix.  On a graph where
+some matrix tiles are touched by no task (and some only as read-only
+inputs) threaded runs must not diverge from a single-thread run — same
+tiles written, same quantisation, bit-identical result.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 from repro.precision import Precision
 from repro.precision.emulate import quantize
 from repro.runtime.executor import execute_numeric
-from repro.runtime.parallel_executor import execute_numeric_parallel
 from repro.runtime.task import Task, TaskGraph, TaskInput, TileRef
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
@@ -83,13 +82,13 @@ class TestPartialGraphWriteback:
         graph = partial_graph()
         ref = execute_numeric(graph, spd_48)
         for n_threads in (1, 2, 4):
-            out = execute_numeric_parallel(graph, spd_48, n_threads=n_threads)
+            out = execute_numeric(graph, spd_48, n_threads=n_threads)
             assert np.array_equal(out.to_dense(), ref.to_dense()), n_threads
 
     def test_untouched_tiles_keep_original_values(self, spd_48):
         graph = partial_graph()
         for execute in (execute_numeric,
-                        lambda g, m: execute_numeric_parallel(g, m, n_threads=3)):
+                        lambda g, m: execute_numeric(g, m, n_threads=3)):
             out = execute(graph, spd_48)
             for i, j in ((1, 1), (2, 2)):
                 assert np.array_equal(out.get(i, j), spd_48.get(i, j)), (i, j)
@@ -100,12 +99,12 @@ class TestPartialGraphWriteback:
         graph = partial_graph()
         expected = quantize(spd_48.get(2, 0), Precision.FP32)
         seq = execute_numeric(graph, spd_48)
-        par = execute_numeric_parallel(graph, spd_48, n_threads=3)
+        par = execute_numeric(graph, spd_48, n_threads=3)
         assert np.array_equal(seq.get(2, 0), expected)
         assert np.array_equal(par.get(2, 0), expected)
 
     def test_input_matrix_unmodified(self, spd_48):
         graph = partial_graph()
         before = spd_48.to_dense()
-        execute_numeric_parallel(graph, spd_48, n_threads=2)
+        execute_numeric(graph, spd_48, n_threads=2)
         assert np.array_equal(spd_48.to_dense(), before)

@@ -318,9 +318,8 @@ class TestNullStateThreading:
 
         from repro.core import build_cholesky_dag, uniform_map
         from repro.runtime import execute_numeric
-        from repro.runtime.parallel_executor import execute_numeric_parallel
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         seq = execute_numeric(dag.graph, tiled_96)
-        par = execute_numeric_parallel(dag.graph, tiled_96, n_threads=3, policy=pol)
+        par = execute_numeric(dag.graph, tiled_96, n_threads=3, policy=pol)
         assert np.array_equal(par.lower_dense(), seq.lower_dense())

@@ -205,13 +205,53 @@ class TestNumericInvariance:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_parallel_executor_matches_sequential(self, policy, tiled_96):
         from repro.core import build_cholesky_dag, two_precision_map
-        from repro.runtime import execute_numeric, execute_numeric_parallel
+        from repro.runtime import execute_numeric
 
         kmap = two_precision_map(6, Precision.FP16_32)
         dag = build_cholesky_dag(96, 16, kmap)
         seq = execute_numeric(dag.graph, tiled_96)
-        par = execute_numeric_parallel(dag.graph, tiled_96, n_threads=4, policy=policy)
+        par = execute_numeric(dag.graph, tiled_96, n_threads=4, policy=policy)
         assert np.array_equal(par.lower_dense(), seq.lower_dense())
+
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([Precision.FP64, Precision.FP32,
+                                  Precision.FP16_32, Precision.FP16]),
+                 min_size=10, max_size=10),
+        st.sampled_from(["AUTO", "TTC", "STC"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_every_numeric_path_bit_identical(self, nt, seed, lower, strategy):
+        """One random SPD matrix and precision map through every numeric
+        path — the sequential reference, the DAG runner on 1 and 3
+        threads, and two ranks on a 1×2 grid — gives identical bits."""
+        from repro.core import ConversionStrategy, KernelPrecisionMap, build_cholesky_dag
+        from repro.core.cholesky import mp_cholesky
+        from repro.runtime import execute_numeric, execute_numeric_distributed
+        from repro.tiles import ProcessGrid, TiledSymmetricMatrix
+
+        nb = 8
+        n = nt * nb
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        mat = TiledSymmetricMatrix.from_dense(a @ a.T + 2 * n * np.eye(n), nb)
+        # random off-diagonal kernel precisions, FP64 diagonal, mirrored
+        codes = np.full((nt, nt), int(Precision.FP64), dtype=np.int8)
+        rows, cols = np.tril_indices(nt, -1)
+        codes[rows, cols] = [int(p) for p in lower[: len(rows)]]
+        codes[cols, rows] = codes[rows, cols]
+        kmap = KernelPrecisionMap(nt=nt, codes=codes)
+        strat = ConversionStrategy[strategy]
+        graph = build_cholesky_dag(n, nb, kmap, strategy=strat, grid=ProcessGrid(1, 2)).graph
+
+        ref = mp_cholesky(mat, kmap, strategy=strat).factor.lower_dense()
+        for out in (
+            execute_numeric(graph, mat),
+            execute_numeric(graph, mat, n_threads=3),
+            execute_numeric_distributed(graph, mat, 2),
+        ):
+            assert np.array_equal(out.lower_dense(), ref)
 
     def test_simulated_flops_identical_across_policies(self):
         from repro.core import simulate_cholesky, two_precision_map
